@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
+from typing import Dict
+
+#: What a lookup sees in a set no word was ever installed into.
+_EMPTY_SET: frozenset = frozenset()
 
 
 @dataclass
@@ -50,11 +53,13 @@ class L1Cache:
             raise ValueError("associativity must be positive")
         self.assoc = assoc
         self.num_sets = max(1, capacity_words // assoc)
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Set index -> OrderedDict of resident words (LRU first), created by
+        # the set's first install.
+        self._sets: Dict[int, OrderedDict] = {}
         self.stats = L1Stats()
 
-    def _set_of(self, address: int) -> OrderedDict:
-        return self._sets[address % self.num_sets]
+    def _set_of(self, address: int):
+        return self._sets.get(address % self.num_sets, _EMPTY_SET)
 
     def lookup_load(self, address: int) -> bool:
         """True on hit (the load is satisfied locally)."""
@@ -75,7 +80,10 @@ class L1Cache:
 
     def install(self, address: int) -> None:
         """Fill on load-reply return."""
-        tag_set = self._set_of(address)
+        index = address % self.num_sets
+        tag_set = self._sets.get(index)
+        if tag_set is None:
+            tag_set = self._sets[index] = OrderedDict()
         if address in tag_set:
             tag_set.move_to_end(address)
             return
@@ -88,6 +96,5 @@ class L1Cache:
         return address in self._set_of(address)
 
     def reset(self) -> None:
-        for tag_set in self._sets:
-            tag_set.clear()
+        self._sets.clear()
         self.stats = L1Stats()

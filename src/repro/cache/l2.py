@@ -27,6 +27,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.mshr import MSHRFile
 from repro.request import Request, RequestType
 
+#: What a lookup sees in a set no line was ever installed into.
+_EMPTY_SET: frozenset = frozenset()
+
 
 @dataclass
 class L2Stats:
@@ -84,9 +87,10 @@ class L2Slice:
         self.num_sets = max(1, slice_bytes // (assoc * line_bytes))
         self.channel_index = channel_index
         self.mapper = mapper
-        # sets[i]: OrderedDict mapping line address -> dirty flag (LRU order,
-        # least recently used first).
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Set index -> OrderedDict mapping line address -> dirty flag (LRU
+        # order, least recently used first).  A set is created by its first
+        # install, so building a slice costs nothing per set.
+        self._sets: Dict[int, OrderedDict] = {}
         self.mshrs = MSHRFile(mshr_capacity)
         self.stats = L2Stats()
 
@@ -94,9 +98,6 @@ class L2Slice:
 
     def line_of(self, address: int) -> int:
         return address // self.line_bytes
-
-    def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[line % self.num_sets]
 
     # -- main lookup -------------------------------------------------------
 
@@ -112,7 +113,7 @@ class L2Slice:
             raise ValueError("PIM requests bypass the L2")
         line = request.address // self.line_bytes
         request.l2_line = line
-        tag_set = self._sets[line % self.num_sets]
+        tag_set = self._sets.get(line % self.num_sets, _EMPTY_SET)
         stats = self.stats
         kid = request.kernel_id
         accesses = stats.kernel_accesses
@@ -159,7 +160,10 @@ class L2Slice:
         """
         line = fill.l2_line
         waiting = self.mshrs.release(line)
-        tag_set = self._set_of(line)
+        index = line % self.num_sets
+        tag_set = self._sets.get(index)
+        if tag_set is None:
+            tag_set = self._sets[index] = OrderedDict()
         writeback: Optional[Request] = None
         if line not in tag_set:
             if len(tag_set) >= self.assoc:
@@ -187,22 +191,11 @@ class L2Slice:
             request.column = cause.column
         return request
 
-    # -- per-kernel stats ----------------------------------------------------
-
-    def _note_access(self, request: Request) -> None:
-        k = self.stats.kernel_accesses
-        k[request.kernel_id] = k.get(request.kernel_id, 0) + 1
-
-    def _note_hit(self, request: Request) -> None:
-        k = self.stats.kernel_hits
-        k[request.kernel_id] = k.get(request.kernel_id, 0) + 1
-
     def contains(self, address: int) -> bool:
         line = self.line_of(address)
-        return line in self._set_of(line)
+        return line in self._sets.get(line % self.num_sets, _EMPTY_SET)
 
     def reset(self) -> None:
-        for tag_set in self._sets:
-            tag_set.clear()
+        self._sets.clear()
         self.mshrs = MSHRFile(self.mshrs.capacity)
         self.stats = L2Stats()

@@ -3,10 +3,13 @@
 The co-execution methodology re-launches each kernel in a loop, and
 ``KernelInstance.warp_program`` deliberately seeds each warp's RNG
 independently of the launch number — every launch replays the *same*
-request trace.  The object engine still pays the full generation cost
+request trace.  The object engine regenerates every warp's phases
 (numpy RNG draws, address encoding, dataclass construction overhead)
-on every launch; under the SoA backend the first launch records each
-warp's phases and later launches replay them, rebuilding only the
+on every launch; only the kernel-wide hot region of a
+:class:`~repro.workloads.synthetic.GPUKernelProfile` is built once per
+process (:func:`~repro.workloads.synthetic.hot_region`).  Under the SoA
+backend the first launch records each warp's phases and later launches
+replay them, rebuilding only the
 :class:`~repro.request.Request` objects (which are mutated in flight
 and must be fresh per launch).
 

@@ -15,8 +15,7 @@ crash or Ctrl-C loses at most the cells still in flight.  Re-invoking
 the same grid then hits the store for completed cells and only simulates
 the remainder; ``shard=(i, n)`` splits a grid across machines that share
 (or later merge) a store; :func:`collect_from_store` reassembles the
-full table without running anything.  Pass ``cache_path`` to
-additionally share the legacy duration cache across workers.
+full table without running anything.
 
 Execution is fault tolerant (see ``docs/resilience.md``): worker pools
 run under a :class:`repro.resilience.Supervisor` that survives worker
@@ -192,7 +191,6 @@ _WORKER_RUNNER: Optional[Runner] = None
 
 def _init_worker(
     scale_fields: Dict,
-    cache_path: Optional[str],
     perf_counters: bool = False,
     store_dir: Optional[str] = None,
     fresh: bool = False,
@@ -212,7 +210,6 @@ def _init_worker(
         fault_injection.install(fault_injection.load_env())
     _WORKER_RUNNER = Runner(
         ExperimentScale(**scale_fields),
-        cache_path=cache_path,
         perf_counters=perf_counters,
         store=store,
         watchdog_window=watchdog,
@@ -276,7 +273,6 @@ def run_grid_parallel(
     scale: ExperimentScale,
     tasks: Sequence[GridTask],
     max_workers: int = 4,
-    cache_path: Optional[str] = None,
     collect_perf: bool = False,
     store_dir: Optional[str] = None,
     fresh: bool = False,
@@ -300,7 +296,6 @@ def run_grid_parallel(
         scale,
         tasks,
         max_workers=max_workers,
-        cache_path=cache_path,
         collect_perf=collect_perf,
         store_dir=store_dir,
         fresh=fresh,
@@ -325,7 +320,6 @@ def run_grid_resumable(
     scale: ExperimentScale,
     tasks: Sequence[GridTask],
     max_workers: int = 1,
-    cache_path: Optional[str] = None,
     collect_perf: bool = False,
     store_dir: Optional[str] = None,
     fresh: bool = False,
@@ -382,7 +376,6 @@ def run_grid_resumable(
     fault_payload = faults.to_payload() if faults is not None else None
     init_args = (
         scale_fields,
-        cache_path,
         collect_perf,
         store_dir,
         fresh,

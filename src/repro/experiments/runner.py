@@ -13,14 +13,12 @@ standalone runs (80 SMs → ``gpu_sms_full``), a small allocation for the
 PIM kernel and the GPU-8 characterization (8 SMs → ``pim_sms``), and the
 remainder for the GPU kernel under co-execution (72 SMs → ``gpu_sms_corun``).
 
-Standalone baselines are cached (optionally on disk) because every figure
-reuses them.
+Standalone baselines are memoised per runner (and written through the
+optional content-addressed result store) because every figure reuses them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -145,7 +143,6 @@ class Runner:
     def __init__(
         self,
         scale: ExperimentScale = ExperimentScale(),
-        cache_path: Optional[str] = None,
         perf_counters: bool = False,
         store=None,
         watchdog_window: Optional[int] = None,
@@ -189,18 +186,6 @@ class Runner:
         self.store_last: Optional[str] = None
         self._standalone_cache: Dict[str, SimResult] = {}
         self._competitive_cache: Dict[Tuple[str, str, str, int], CompetitiveOutcome] = {}
-        self._duration_cache: Dict[str, int] = {}
-        self.cache_path = cache_path or os.environ.get("REPRO_CACHE")
-        if self.cache_path and os.path.exists(self.cache_path):
-            with open(self.cache_path) as fh:
-                self._duration_cache = {k: int(v) for k, v in json.load(fh).items()}
-
-    # -- cache helpers ------------------------------------------------------
-
-    def _save_cache(self) -> None:
-        if self.cache_path:
-            with open(self.cache_path, "w") as fh:
-                json.dump(self._duration_cache, fh)
 
     def _build_system(self, config: SystemConfig, policy: PolicySpec) -> GPUSystem:
         from repro.engine_soa import create_system
@@ -219,6 +204,11 @@ class Runner:
         return system
 
     def _standalone_key(self, label: str, sms: int, num_vcs: int) -> str:
+        """Name of a standalone run: this runner's memo key and store label.
+
+        Not a cache key across runners — it omits most of the scale; the
+        store is addressed by the full fingerprint instead.
+        """
         s = self.scale
         refresh = "|refresh" if s.refresh_enabled else ""
         return (
@@ -251,7 +241,6 @@ class Runner:
             if payload is not None:
                 result = result_from_dict(payload)
                 self._standalone_cache[key] = result
-                self._duration_cache[key] = result.kernels[0].first_duration
                 return result
         system = self._build_system(self.scale.config(num_vcs), BASELINE_POLICY)
         system.add_kernel(spec, num_sms=sms)
@@ -259,8 +248,6 @@ class Runner:
         if not result.all_completed:
             raise RuntimeError(f"standalone run {label} did not complete in budget")
         self._standalone_cache[key] = result
-        self._duration_cache[key] = result.kernels[0].first_duration
-        self._save_cache()
         if self.store is not None:
             from repro.sim.export import result_to_dict
 
@@ -272,9 +259,6 @@ class Runner:
         return result
 
     def standalone_duration(self, label: str, spec: KernelSpec, sms: int, num_vcs: int) -> int:
-        key = self._standalone_key(label, sms, num_vcs)
-        if key in self._duration_cache:
-            return self._duration_cache[key]
         return self._run_standalone(label, spec, sms, num_vcs).kernels[0].first_duration
 
     def gpu_standalone(self, gid: str, sms: Optional[int] = None, num_vcs: int = 1) -> SimResult:

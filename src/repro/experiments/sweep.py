@@ -9,10 +9,11 @@ fairness/throughput for each point.
 Each sweep point is a competitive grid, expressed as
 :class:`~repro.experiments.parallel.GridTask` items and executed through
 :func:`~repro.experiments.parallel.run_grid_parallel`: with
-``max_workers > 1`` the points fan out over worker processes that share
-standalone baselines through the runner's disk cache (``cache_path`` /
-``REPRO_CACHE``); with the default ``max_workers=1`` the tasks run
-serially against the caller's runner, reusing its warm in-memory caches.
+``max_workers > 1`` the points fan out over worker processes (pass
+``store_dir`` so they share standalone baselines through the
+content-addressed result store); with the default ``max_workers=1`` the
+tasks run serially against the caller's runner, reusing its warm
+in-memory caches.
 Either path computes identical outcomes — the tasks are deterministic
 and independent.
 """
@@ -139,7 +140,6 @@ def _run_point(
             runner.scale,
             tasks,
             max_workers=max_workers,
-            cache_path=runner.cache_path,
             store_dir=store_dir,
         )
     return [

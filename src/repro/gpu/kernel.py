@@ -12,8 +12,9 @@ returns (the GPU core model), while PIM/store phases are fire-and-forget
 from __future__ import annotations
 
 import abc
+import copy
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -124,8 +125,8 @@ class KernelInstance:
         # replay the same trace regardless of the order kernels were added
         # to a system (standalone vs co-execution runs).
         name_seed = zlib.crc32(self.spec.name.encode())
-        rng = np.random.default_rng([self.seed, name_seed, sm_slot, warp])
-        ctx = replace(self.ctx, rng=rng)
+        ctx = copy.copy(self.ctx)
+        ctx.rng = np.random.default_rng([self.seed, name_seed, sm_slot, warp])
         return self.spec.warp_program(ctx, sm_slot, warp)
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +65,30 @@ def make_pim_request(
 # ---------------------------------------------------------------------------
 # GPU (load/store) kernels
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def hot_region(
+    name: str, hot_words: int, num_channels: int, banks: int, footprint_rows: int, columns: int
+) -> Tuple[Tuple[int, int, int, int], ...]:
+    """A kernel's hot region: ``hot_words`` (channel, bank, row, column) words.
+
+    The region is kernel-wide — shared by every warp so that reuse
+    actually accumulates in the L2 (shared read-only data, the usual
+    source of GPU L2 hits).  Its RNG is seeded from the kernel name
+    alone, so the arguments are the whole input and every warp of every
+    launch with the same geometry reads one memoised tuple.
+    """
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return tuple(
+        (
+            int(rng.integers(num_channels)),
+            int(rng.integers(banks)),
+            int(rng.integers(footprint_rows)),
+            int(rng.integers(columns)),
+        )
+        for _ in range(hot_words)
+    )
 
 
 @dataclass
@@ -128,20 +153,9 @@ class GPUKernelProfile(KernelSpec):
         total = ctx.scaled(self.accesses_per_warp)
         columns = ctx.mapper.num_columns
 
-        # Hot region: a small *kernel-wide* set of words that will live in
-        # L2 — shared across warps so reuse actually accumulates (shared
-        # read-only data, the usual source of GPU L2 hits).
-        hot_rng = np.random.default_rng(zlib.crc32(self.name.encode()))
-        hot: List[Tuple[int, int, int, int]] = []
-        for i in range(self.hot_words):
-            hot.append(
-                (
-                    int(hot_rng.integers(ctx.num_channels)),
-                    int(hot_rng.integers(banks)),
-                    int(hot_rng.integers(self.footprint_rows)),
-                    int(hot_rng.integers(columns)),
-                )
-            )
+        hot = hot_region(
+            self.name, self.hot_words, ctx.num_channels, banks, self.footprint_rows, columns
+        )
 
         channel = int(rng.integers(ctx.num_channels))
         bank = int(rng.integers(banks))

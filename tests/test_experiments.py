@@ -1,5 +1,7 @@
 """Tests for the experiment runner, figure harnesses, and sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.policies import PolicySpec
@@ -102,18 +104,22 @@ class TestRunner:
     def test_gpu_pair(self, runner):
         assert 0 < runner.gpu_pair("G17", "G10") <= 2.0
 
-    def test_disk_cache_roundtrip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        r1 = Runner(TINY, cache_path=path)
-        duration = r1.standalone_duration(
-            "G17",
-            __import__("repro.workloads", fromlist=["get_gpu_kernel"]).get_gpu_kernel("G17"),
-            TINY.gpu_sms_full,
-            1,
-        )
-        r2 = Runner(TINY, cache_path=path)
-        key = r2._standalone_key("G17", TINY.gpu_sms_full, 1)
-        assert r2._duration_cache[key] == duration
+    def test_queue_sweep_ignores_repro_cache(self, tmp_path, monkeypatch):
+        # On two channels G6's standalone duration depends on the NoC queue
+        # size (943 vs 952 cycles); a duration cache keyed without it once
+        # leaked one size's baseline into the next size's speedups.
+        scale = replace(TINY, num_channels=2)
+        spec = competitive_policy("F3FS")
+
+        def queue_sweep():
+            return [
+                Runner(replace(scale, noc_queue_size=size)).competitive("G6", "P2", spec, 1)
+                for size in (1, 64)
+            ]
+
+        fresh = queue_sweep()
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "durations.json"))
+        assert queue_sweep() == fresh
 
 
 class TestSweeps:
