@@ -22,17 +22,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.core.memq import BankIndexedMemQueue
-from repro.core.policies.base import SchedulingPolicy
+from repro.core.policies.base import NEVER, SchedulingPolicy
 from repro.dram.channel import Channel
 from repro.dram.refresh import RefreshTimer
 from repro.obs import events as obs_events
 from repro.pim.executor import PIMExecutor
 from repro.request import Mode, Request
-
-#: Sentinel "no self-scheduled event" wake cycle: the controller only needs
-#: attention again when an enqueue or completion marks it dirty.
-NEVER = 1 << 62
-
 
 @dataclass
 class SwitchRecord:
@@ -127,7 +122,11 @@ class MemoryController:
         self._next_seq = 0
 
         # Wake-up optimization: skip decision cycles that cannot make
-        # progress.  Any enqueue or completion marks the controller dirty.
+        # progress.  An enqueue marks the controller dirty; otherwise it
+        # sleeps until ``_next_wake``, the earliest cycle at which a
+        # time-driven input of its next decision can change (see
+        # ``_idle_wake``).  Completions change no such input: drain and
+        # refresh waits already sleep until their exact completion bound.
         self._next_wake = 0
         self._dirty = True
         self._last_mode_cycle = 0
@@ -234,8 +233,6 @@ class MemoryController:
     def pop_completed(self, cycle: int) -> List[Request]:
         done = self.channel.pop_completed(cycle)
         done.extend(self.pim_exec.pop_completed(cycle))
-        if done:
-            self._dirty = True
         return done
 
     # -- mode switch machinery ---------------------------------------------
@@ -396,7 +393,7 @@ class MemoryController:
         if (self.refresh.enabled or cycle < self._refresh_until) and self._handle_refresh(cycle):
             return None
 
-        if self.is_switching:
+        if self._switch_target is not None:
             if self._drain_done(cycle):
                 self._finish_switch(cycle)
             else:
@@ -405,10 +402,7 @@ class MemoryController:
 
         decision = self.policy.decide(self, cycle)
         if decision.kind == "idle":
-            self._next_wake = min(
-                self.channel.next_bank_event(cycle),
-                max(cycle + 1, self.pim_exec.busy_until),
-            )
+            self._next_wake = self._idle_wake(cycle)
             return None
         if decision.kind == "switch":
             self._begin_switch(decision.target, cycle)
@@ -443,36 +437,38 @@ class MemoryController:
         self._dirty = True
         return request
 
+    def _idle_wake(self, cycle: int) -> int:
+        """Earliest cycle after an idle decision at which ``decide()`` could
+        decide otherwise without an enqueue.
+
+        ``decide()`` reads the cycle only through bank ``accept_at``, PIM
+        ``busy_until``, the refresh deadline and the policy's
+        ``next_epoch_cycle``.  Bank and PIM timing only matter to queued
+        requests.
+        """
+        wake = self.policy.next_epoch_cycle(cycle)
+        if self.refresh.enabled and self.refresh.next_due_cycle() < wake:
+            wake = self.refresh.next_due_cycle()
+        if not self.mem_queue and not self.pim_queue:
+            return wake
+        busy_until = self.pim_exec.busy_until
+        if cycle < busy_until < wake:
+            wake = busy_until
+        return self.channel.next_bank_event(cycle, wake)
+
     def next_wake_cycle(self, cycle: int) -> int:
         """Earliest cycle at which a future ``tick`` could act (fast-forward
         contract).
 
         Only meaningful right after a ``tick(cycle)`` left the controller
-        clean (``_dirty`` False).  Returns ``cycle + 1`` when the controller
-        must keep ticking every cycle, a future cycle when it sleeps until a
-        self-scheduled event (bank timing, drain, refresh), or ``NEVER``
-        when only external work (enqueue/completion) can wake it.  Ticks in
-        between are exactly the ones the in-tick wake gate would skip, so
-        eliding them is behavior-preserving.
+        clean (``_dirty`` False).  Every clean tick leaves ``_next_wake``
+        at the controller's next self-scheduled event (bank timing, PIM
+        busy window, drain, refresh, policy epoch) or at ``NEVER`` when
+        only an enqueue can wake it.  Ticks in between are exactly the ones
+        the in-tick wake gate would skip, so eliding them is
+        behavior-preserving.
         """
-        wake = self._next_wake
-        if wake > cycle + 1:
-            return wake
-        if self.is_switching or self.mem_queue or self.pim_queue:
-            # Busy but re-evaluating every cycle (e.g. waiting on a bank
-            # that frees next cycle): cannot skip anything.
-            return cycle + 1
-        # Pure idle: both queues empty and no drain in progress.  decide()
-        # is side-effect free on empty queues, so the only future event the
-        # controller generates on its own is refresh.
-        if not self.refresh.enabled:
-            return NEVER
-        if self.refresh.backlog:
-            return cycle + 1
-        wake = self.refresh.next_due_cycle()
-        if cycle < self._refresh_until < wake:
-            wake = self._refresh_until
-        return wake if wake > cycle else cycle + 1
+        return self._next_wake
 
     def finalize(self, cycle: int) -> None:
         """Close out time-based accounting at the end of a simulation."""

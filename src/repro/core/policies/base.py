@@ -14,6 +14,12 @@ The controller enforces the mode mechanics (draining in-flight requests,
 switch-overhead accounting); policies only choose requests and request
 switches.  One policy instance is created per memory controller, so
 policies are free to keep per-channel state.
+
+An idle controller sleeps until its queues change or until the earliest
+time-driven input of ``decide()`` moves: a bank's ``accept_at``, the PIM
+executor's ``busy_until``, the refresh deadline, or the policy's own
+:meth:`SchedulingPolicy.next_epoch_cycle`.  A policy whose decisions
+depend on the cycle in any other way must override ``next_epoch_cycle``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from repro.request import Mode, Request
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import MemoryController
 
+#: Sentinel "no self-scheduled event" wake cycle: the controller only needs
+#: attention again when an enqueue marks it dirty.
+NEVER = 1 << 62
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -38,20 +48,24 @@ class Decision:
     def mem(cls, request: Request) -> "Decision":
         return cls("mem", request=request)
 
+    # Frozen, so the request-free decisions are shared instances rather
+    # than one allocation per decision.
     @classmethod
     def pim(cls) -> "Decision":
-        return cls("pim")
+        return _PIM
 
     @classmethod
     def switch(cls, target: Mode) -> "Decision":
-        return cls("switch", target=target)
+        return _SWITCH[target]
 
     @classmethod
     def idle(cls) -> "Decision":
-        return cls("idle")
+        return IDLE
 
 
-IDLE = Decision.idle()
+IDLE = Decision("idle")
+_PIM = Decision("pim")
+_SWITCH = {mode: Decision("switch", target=mode) for mode in Mode}
 
 
 class SchedulingPolicy(abc.ABC):
@@ -67,6 +81,11 @@ class SchedulingPolicy(abc.ABC):
     @abc.abstractmethod
     def decide(self, ctl: "MemoryController", cycle: int) -> Decision:
         """Choose the next action for this decision cycle."""
+
+    def next_epoch_cycle(self, cycle: int) -> int:
+        """Next cycle after ``cycle`` at which the policy's own clock may
+        change an idle decision (``NEVER`` for clock-free policies)."""
+        return NEVER
 
     # -- notification hooks -------------------------------------------------
 

@@ -53,6 +53,9 @@ class BLISS(SchedulingPolicy):
             self.blacklist.clear()
             self._last_epoch = epoch
 
+    def next_epoch_cycle(self, cycle: int) -> int:
+        return (cycle // self.clear_interval + 1) * self.clear_interval
+
     def _score(self, ctl, request: Request, is_hit: bool):
         """Lower tuples win: (blacklisted, not-hit, age)."""
         return (request.kernel_id in self.blacklist, not is_hit, request.mc_seq)

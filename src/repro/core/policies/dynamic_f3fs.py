@@ -78,6 +78,9 @@ class DynamicF3FS(F3FS):
             self._adapt(ctl, cycle)
         return super().decide(ctl, cycle)
 
+    def next_epoch_cycle(self, cycle: int) -> int:
+        return (cycle // self.epoch + 1) * self.epoch
+
     def _adapt(self, ctl, cycle) -> None:
         issued = {Mode.MEM: ctl.stats.mem_issued, Mode.PIM: ctl.stats.pim_issued}
         delta_mem = issued[Mode.MEM] - self._last_issued[Mode.MEM]

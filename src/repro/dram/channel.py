@@ -141,17 +141,20 @@ class Channel:
     def open_rows(self) -> List[Optional[int]]:
         return [b.open_row for b in self.banks]
 
-    def next_bank_event(self, cycle: int) -> int:
-        """Earliest future cycle at which some bank becomes acceptable.
+    def next_bank_event(self, cycle: int, horizon: int) -> int:
+        """Earliest bank ``accept_at`` after ``cycle``, or ``horizon`` if
+        no bank becomes acceptable before it.
 
-        Used by the controller to skip idle decision cycles.
+        Used by the controller to sleep through idle decision cycles: a
+        bank whose ``accept_at`` lies in the past stays acceptable until
+        an issue moves it.
         """
-        best = -1
+        best = horizon
         for bank in self.banks:
             accept_at = bank.state.accept_at
-            if accept_at > cycle and (best < 0 or accept_at < best):
+            if cycle < accept_at < best:
                 best = accept_at
-        return best if best > 0 else cycle + 1
+        return best
 
     # -- MEM servicing ------------------------------------------------------
 

@@ -27,8 +27,8 @@ mid-flight.  The object and SoA backends therefore produce byte-identical
 ``SimResult``/store fingerprints (``tests/test_engine_soa.py``).
 
 Warp programs of looping synthetic kernels are additionally wrapped in a
-record/replay cache (:mod:`repro.engine_soa.replay`): relaunches skip
-RNG draws and address encoding.
+per-system record/replay cache (:mod:`repro.engine_soa.replay`) that
+recycles request objects across relaunches.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from repro.engine_soa.kernels import load_kernels
 from repro.engine_soa.ring import HandleRing
 from repro.sim.activeset import DenseIndexSet
 from repro.engine_soa.primitives import warp_ready_batch
-from repro.engine_soa.replay import REPLAYABLE_SPECS, ReplayKernelInstance, WarpProgramCache
-from repro.gpu.kernel import KernelInstance, LaunchContext
+from repro.engine_soa.replay import ReplayKernelInstance, WarpProgramCache
+from repro.gpu.kernel import REPLAYABLE_SPECS, KernelInstance, LaunchContext
 from repro.gpu.sm import SM
 from repro.request import Mode, Request, RequestType
 from repro.sim.system import GPUSystem, KernelRun

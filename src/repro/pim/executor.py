@@ -156,10 +156,9 @@ class PIMExecutor:
         """Execute one PIM request on all banks; returns completion cycle."""
         if cycle < self.busy_until:
             raise RuntimeError(f"PIM executor busy until {self.busy_until}")
-        op = request.pim_op
         timings = self.channel.timings
 
-        if op.kind.accesses_dram:
+        if request.pim_dram:
             if self.would_switch_row(request):
                 start = self._switch_row(request.row, cycle, timings)
             else:

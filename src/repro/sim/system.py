@@ -340,11 +340,11 @@ class GPUSystem:
                 if head is None and pim_head is None:
                     busy.discard(ch)
                 continue
-            done = controller.pop_completed(cycle)
-            if done:
-                self._mc_active.add(ch)  # pop_completed marked it dirty
-                for request in done:
-                    self._handle_completion(ch, request, cycle)
+            # A completion changes no input of the controller's next
+            # decision (see MemoryController._idle_wake), so it wakes no
+            # controller.
+            for request in controller.pop_completed(cycle):
+                self._handle_completion(ch, request, cycle)
             if not controller.channel.mem_in_flight() and not controller.pim_exec.in_flight():
                 busy.discard(ch)
 

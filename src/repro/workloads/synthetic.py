@@ -24,7 +24,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gpu.kernel import KernelSpec, LaunchContext, Phase
+from repro.gpu.kernel import REPLAYABLE_SPECS, KernelSpec, LaunchContext, Phase
 from repro.pim.isa import PIMOp, PIMOpKind
 from repro.request import Request, RequestType
 
@@ -359,3 +359,6 @@ class PIMGemvKernel(KernelSpec):
                     make_pim_request(ctx, channel, out_row, (out_group_base + i) % columns, op)
                 )
             yield Phase(compute_cycles=0, requests=requests, wait_for_replies=False)
+
+
+REPLAYABLE_SPECS.update((GPUKernelProfile, PIMStreamKernel, PIMGemvKernel))
